@@ -155,6 +155,8 @@ type CongestionControl interface {
 	Init(c Conn)
 	// OnAck is called for every processed ACK after scoreboard and rate
 	// sample updates — it merges cong_control/cong_avoid/pkts_acked.
+	// rs is valid only during the call: the sender reuses it for the next
+	// ACK, so a module must copy what it keeps, never the pointer.
 	OnAck(c Conn, rs *RateSample)
 	// OnEvent is called on loss-recovery transitions.
 	OnEvent(c Conn, ev Event)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -349,5 +350,108 @@ func TestCheckQueueDetectsCorruption(t *testing.T) {
 	eng.items[eng.heap[0]].pos = 7 // corrupt a heap back-pointer
 	if err := eng.CheckQueue(); err == nil {
 		t.Fatal("CheckQueue missed a corrupted heap back-pointer")
+	}
+	eng.items[eng.heap[0]].pos = 0
+	// Two timers in one level-0 slot: b heads the chain, a follows it.
+	a := eng.Schedule(time.Millisecond, func() {})
+	eng.Schedule(time.Millisecond, func() {})
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatalf("healthy wheel chain reported %v", err)
+	}
+	eng.items[a.idx].pos = -1 // corrupt a wheel back-link
+	if err := eng.CheckQueue(); err == nil {
+		t.Fatal("CheckQueue missed a corrupted wheel back-link")
+	}
+}
+
+// TestRescheduleWheelInPlace: re-arming a wheel-resident timer moves the
+// same item, so an RTO-style timer re-armed on every ACK never grows the
+// queue or the arena.
+func TestRescheduleWheelInPlace(t *testing.T) {
+	eng := New(1)
+	fired := 0
+	tm := eng.Schedule(200*time.Millisecond, func() { fired++ })
+	for i := 0; i < 10000; i++ {
+		if !tm.Reschedule(200 * time.Millisecond) {
+			t.Fatalf("reschedule %d failed", i)
+		}
+	}
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.items) != 1 || eng.MaxPending() != 1 {
+		t.Fatalf("arena %d items, max pending %d after 10k reschedules; want 1 and 1",
+			len(eng.items), eng.MaxPending())
+	}
+	eng.Run(time.Second)
+	if fired != 1 {
+		t.Fatalf("timer fired %d times, want 1", fired)
+	}
+}
+
+// TestRescheduleSharedSlots crowds timers into a few wheel slots of both
+// levels and re-arms or stops them at random, so re-arms unlink the head,
+// middle and tail of shared chains. The queue audit runs after every
+// operation, and the fire order must match each surviving timer's last
+// (time, re-arm order).
+func TestRescheduleSharedSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	delays := []time.Duration{
+		100 * time.Microsecond, 110 * time.Microsecond, 200 * time.Microsecond, // level 0
+		20 * time.Millisecond, 21 * time.Millisecond, 40 * time.Millisecond, // level 1
+	}
+	type state struct {
+		at      time.Duration
+		order   int
+		stopped bool
+	}
+	eng := New(1)
+	const n = 64
+	timers := make([]Timer, n)
+	want := make([]state, n)
+	var fired []int
+	order := 0
+	for i := range timers {
+		d := delays[rng.Intn(len(delays))]
+		timers[i] = eng.Schedule(d, func() { fired = append(fired, i) })
+		want[i] = state{at: d, order: order}
+		order++
+	}
+	for op := 0; op < 2000; op++ {
+		i := rng.Intn(n)
+		if rng.Intn(5) == 0 {
+			timers[i].Stop()
+			want[i].stopped = true
+		} else {
+			d := delays[rng.Intn(len(delays))]
+			if !timers[i].Reschedule(d) {
+				t.Fatalf("op %d: reschedule of timer %d failed", op, i)
+			}
+			want[i] = state{at: d, order: order}
+			order++
+		}
+		if err := eng.CheckQueue(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	var expect []int
+	for i, s := range want {
+		if !s.stopped {
+			expect = append(expect, i)
+		}
+	}
+	sort.Slice(expect, func(a, b int) bool {
+		sa, sb := want[expect[a]], want[expect[b]]
+		if sa.at != sb.at {
+			return sa.at < sb.at
+		}
+		return sa.order < sb.order
+	})
+	eng.Run(time.Second)
+	if !reflect.DeepEqual(fired, expect) {
+		t.Fatalf("fire order %v, want %v", fired, expect)
+	}
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatal(err)
 	}
 }

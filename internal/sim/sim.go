@@ -16,7 +16,9 @@
 // Short-horizon timers (the pacing and delayed-ACK timers that dominate the
 // paper's workload) are bucketed into a two-level timer wheel — level 0
 // covers ~16 ms at 64 µs granularity, level 1 covers ~4.2 s at 16 ms
-// granularity — with O(1) insert and cancel. Longer or too-late timers fall
+// granularity — with O(1) insert, cancel and reschedule: slot chains are
+// doubly linked, so a re-armed timer is unlinked and re-placed in place
+// instead of leaving a dead item behind. Longer or too-late timers fall
 // back to the 4-ary min-heap. Before any event executes, every wheel slot
 // whose window could precede the heap top is flushed into the heap, so the
 // ordering contract is exactly the heap's: events fire in (time, seq) order,
@@ -54,10 +56,13 @@ type eventItem struct {
 	// pfn/arg are the ScheduleP form: a shared callback plus a pointer-shaped
 	// argument, so deferring a packet/ACK delivery needs no per-event closure.
 	// Exactly one of fn and pfn is set on a live item.
-	pfn       func(any)
-	arg       any
-	next      int32 // freelist / wheel-slot chain link
-	pos       int32 // index in the heap slice, -1 when not heap-resident
+	pfn  func(any)
+	arg  any
+	next int32 // freelist / wheel-slot chain link
+	// pos is the item's index in the heap slice while heap-resident and
+	// the previous item in its wheel-slot chain (-1 at the chain head)
+	// while wheel-resident; -1 otherwise.
+	pos       int32
 	gen       uint32
 	where     uint8
 	cancelled bool
@@ -145,20 +150,19 @@ func (t *Timer) Reschedule(delay time.Duration) bool {
 		it.at, it.seq = at, seq
 		e.heapFix(int(it.pos))
 	case wWheel0, wWheel1:
-		// Wheel slots are singly-linked: unlinking mid-chain is O(slot), so
-		// retire this entry (reclaimed at flush) and take a fresh one.
-		fn, pfn, arg := it.fn, it.pfn, it.arg
-		if !it.cancelled {
-			it.cancelled = true
-			e.livePending--
+		// Slot chains are doubly linked: unlink the item in O(1) and
+		// re-place the same item, so the queue does not grow.
+		l, gran := &e.w0, wheelGran0
+		if it.where == wWheel1 {
+			l, gran = &e.w1, wheelGran1
 		}
-		nidx := e.alloc()
-		nit := &e.items[nidx]
-		nit.at, nit.seq, nit.fn = at, seq, fn
-		nit.pfn, nit.arg = pfn, arg
-		e.place(nidx)
-		e.noteQueued()
-		t.idx, t.gen = nidx, nit.gen
+		l.remove(e.items, t.idx, int64(it.at/gran))
+		if it.cancelled {
+			it.cancelled = false
+			e.livePending++
+		}
+		it.at, it.seq = at, seq
+		e.place(t.idx)
 	case wFiring:
 		// Re-arming from inside the callback: the item re-enters the queue
 		// instead of being reclaimed when the callback returns.
@@ -197,13 +201,37 @@ func (l *wheelLevel) init() {
 	}
 }
 
-// insert links idx into the slot for tick.
+// insert links idx at the head of the slot for tick.
 func (l *wheelLevel) insert(items []eventItem, idx int32, tick int64) {
 	slot := int(uint64(tick) % wheelSlots)
-	items[idx].next = l.slots[slot]
+	head := l.slots[slot]
+	items[idx].next = head
+	items[idx].pos = -1
+	if head >= 0 {
+		items[head].pos = idx
+	}
 	l.slots[slot] = idx
 	l.occ[slot>>6] |= 1 << uint(slot&63)
 	l.count++
+}
+
+// remove unlinks idx from the slot for tick, using its back-link.
+func (l *wheelLevel) remove(items []eventItem, idx int32, tick int64) {
+	slot := int(uint64(tick) % wheelSlots)
+	it := &items[idx]
+	if it.pos >= 0 {
+		items[it.pos].next = it.next
+	} else {
+		l.slots[slot] = it.next
+		if it.next < 0 {
+			l.occ[slot>>6] &^= 1 << uint(slot&63)
+		}
+	}
+	if it.next >= 0 {
+		items[it.next].pos = it.pos
+	}
+	it.next, it.pos = -1, -1
+	l.count--
 }
 
 // firstTick returns the tick of the earliest non-empty slot.
@@ -328,6 +356,10 @@ type Engine struct {
 	lastScheduled time.Duration
 	limitErr      *LimitError
 	stallRun      uint64
+
+	// seen is CheckQueue's per-item visit count, kept across audits so
+	// the checker's periodic audit does not allocate.
+	seen []uint8
 }
 
 // New returns an Engine whose random source is seeded with seed. The source
@@ -801,11 +833,16 @@ func (e *Engine) CorruptQueueForTest() { e.livePending++ }
 
 // CheckQueue audits the scheduler's internal accounting: every arena item
 // is exactly one of heap-resident (with a correct back-pointer), wheel-
-// resident (within its level's window), firing, or free; and the live/queued
-// counters match a full walk. The invariant checker calls this each audit
-// tick; it returns nil when the queue is consistent.
+// resident (within its level's window, filed in its tick's slot, with a
+// correct chain back-link), firing, or free; and the live/queued counters
+// match a full walk. The invariant checker calls this each audit tick; it
+// returns nil when the queue is consistent.
 func (e *Engine) CheckQueue() error {
-	seen := make([]uint8, len(e.items))
+	if cap(e.seen) < len(e.items) {
+		e.seen = make([]uint8, len(e.items), cap(e.items))
+	}
+	seen := e.seen[:len(e.items)]
+	clear(seen)
 	for pos, idx := range e.heap {
 		it := &e.items[idx]
 		if it.where != wHeap {
@@ -829,14 +866,22 @@ func (e *Engine) CheckQueue() error {
 			if occupied != (head >= 0) {
 				return fmt.Errorf("sim: wheel %d slot %d occupancy bit %v but head %d", wi, slot, occupied, head)
 			}
+			prev := int32(-1)
 			for idx := head; idx >= 0; idx = e.items[idx].next {
 				it := &e.items[idx]
 				if it.where != w.st {
 					return fmt.Errorf("sim: wheel %d slot %d holds item %d in state %d", wi, slot, idx, it.where)
 				}
+				if it.pos != prev {
+					return fmt.Errorf("sim: wheel %d slot %d item %d back-link %d != previous %d", wi, slot, idx, it.pos, prev)
+				}
+				prev = idx
 				tick := int64(it.at / w.gran)
 				if tick < w.l.tick || tick-w.l.tick >= wheelSlots {
 					return fmt.Errorf("sim: wheel %d item %d tick %d outside window [%d, %d)", wi, idx, tick, w.l.tick, w.l.tick+wheelSlots)
+				}
+				if int(uint64(tick)%wheelSlots) != slot {
+					return fmt.Errorf("sim: wheel %d item %d tick %d filed in slot %d", wi, idx, tick, slot)
 				}
 				seen[idx]++
 				n++

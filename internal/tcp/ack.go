@@ -53,7 +53,11 @@ func (c *Conn) processAck(a *seg.Ack) {
 	priorInflight := c.inflight
 	priorUna := c.sndUna
 
-	rs := cc.RateSample{Delivered: -1, Interval: -1, RTT: -1}
+	// The sample lives on the connection: passed through the CC
+	// interface, a local would escape to the heap on every ACK. No module
+	// keeps the pointer past OnAck.
+	rs := &c.rs
+	*rs = cc.RateSample{Delivered: -1, Interval: -1, RTT: -1}
 	var (
 		bestSnap     int64 = -1
 		priorTime    time.Duration
@@ -211,7 +215,7 @@ func (c *Conn) processAck(a *seg.Ack) {
 		}
 	}
 
-	c.ccMod.OnAck(c, &rs)
+	c.ccMod.OnAck(c, rs)
 	if !c.ccMod.WantsPacing() {
 		c.updatePacingRateFromCwnd()
 	}

@@ -113,6 +113,7 @@ type Conn struct {
 	buffered  units.DataSize // copied into the sndbuf, not yet sent
 	appCopied int64          // total bytes ever copied
 	appBusy   bool
+	appChunk  units.DataSize // size of the in-flight copy (valid while appBusy)
 
 	maxBufOcc units.DataSize
 	rttSample stats.Online
@@ -166,6 +167,9 @@ type Conn struct {
 	xmitRetx     []*pktInfo
 	xmitNew      int
 	xmitPaceFrom time.Duration
+
+	// rs is processAck's rate sample, reset on every call (see there).
+	rs cc.RateSample
 }
 
 // NewConn creates a connection with the given flow id. The congestion
@@ -338,18 +342,25 @@ func (c *Conn) appPump() {
 		}
 	}
 	c.appBusy = true
+	c.appChunk = chunk
 	cost := float64(chunk) * c.cpu.Costs().CopyPerByte
-	c.appCPU.Submit(cpumodel.OpDataCopy, cost, func() {
-		c.appBusy = false
-		if c.done {
-			c.maybeQuiet()
-			return
-		}
-		c.buffered += chunk
-		c.appCopied += int64(chunk)
-		c.appPump()
-		c.trySend()
-	})
+	c.appCPU.SubmitP(cpumodel.OpDataCopy, cost, appCopyDone, c)
+}
+
+// appCopyDone is the shared completion callback for appPump's copy job; the
+// connection rides along as the argument and the chunk waits in appChunk
+// (appBusy allows one copy in flight), so no closure is built per chunk.
+func appCopyDone(v any) {
+	c := v.(*Conn)
+	c.appBusy = false
+	if c.done {
+		c.maybeQuiet()
+		return
+	}
+	c.buffered += c.appChunk
+	c.appCopied += int64(c.appChunk)
+	c.appPump()
+	c.trySend()
 }
 
 // Stop halts transmission and cancels timers.

@@ -56,7 +56,21 @@ func (s *scoreboard) add(p *pktInfo) {
 			panic("tcp: scoreboard add out of order")
 		}
 	}
+	if len(s.entries) == cap(s.entries) && s.head >= s.liveLen() {
+		// Reuse the retired prefix before append doubles the array. At
+		// least half the array is retired, so the copy is amortized O(1)
+		// per add even when the live count sits just under capacity.
+		s.compact()
+	}
 	s.entries = append(s.entries, p)
+}
+
+// compact slides the live entries to the front of the backing array.
+func (s *scoreboard) compact() {
+	n := copy(s.entries, s.entries[s.head:])
+	clear(s.entries[n:])
+	s.entries = s.entries[:n]
+	s.head = 0
 }
 
 // liveLen returns the number of live entries.
@@ -75,12 +89,7 @@ func (s *scoreboard) popAcked(cumAck int64) []*pktInfo {
 		s.head++
 	}
 	if s.head > 1024 && s.head*2 > len(s.entries) {
-		n := copy(s.entries, s.entries[s.head:])
-		for i := n; i < len(s.entries); i++ {
-			s.entries[i] = nil
-		}
-		s.entries = s.entries[:n]
-		s.head = 0
+		s.compact()
 	}
 	s.scratch = out
 	return out
