@@ -16,7 +16,6 @@ import (
 	"mobbr/internal/flows"
 	"mobbr/internal/netem"
 	"mobbr/internal/repro"
-	"mobbr/internal/sim"
 	"mobbr/internal/telemetry"
 	"mobbr/internal/units"
 )
@@ -338,105 +337,5 @@ func BenchmarkECN(b *testing.B) {
 			res := runSpec(b, p.Spec)
 			b.ReportMetric(float64(res.Report.Retransmits), "retransmits")
 		})
-	}
-}
-
-// shardedRing drives h synthetic hosts laid out on a ring across k engine
-// shards: each host runs a dense local timer load (the dominant work, as in a
-// real per-host simulation) and forwards a token to its ring successor over a
-// 200µs link — cross-shard wherever the partition cuts the ring. One call
-// simulates dur of virtual time and returns the total events executed.
-func shardedRing(h, k int, dur time.Duration) uint64 {
-	const (
-		linkDelay  = 200 * time.Microsecond
-		tickPeriod = 2 * time.Microsecond
-	)
-	se := sim.NewSharded(1, k)
-	// One link per directed shard pair the ring actually crosses.
-	links := map[[2]int]*sim.CrossLink{}
-	for host := 0; host < h; host++ {
-		src, dst := host%k, (host+1)%h%k
-		key := [2]int{src, dst}
-		if src != dst && links[key] == nil {
-			links[key] = se.NewLink(src, dst, linkDelay)
-		}
-	}
-	type hostState struct {
-		eng  *sim.Engine
-		acc  uint64
-		send func()
-		tick func()
-		recv func(any)
-	}
-	hostsv := make([]*hostState, h)
-	for i := range hostsv {
-		hostsv[i] = &hostState{eng: se.Shard(i % k)}
-	}
-	for i := range hostsv {
-		i := i
-		hs := hostsv[i]
-		succ := hostsv[(i+1)%h]
-		link := links[[2]int{i % k, (i + 1) % h % k}]
-		hs.recv = func(any) { hs.send() }
-		hs.send = func() {
-			if link != nil {
-				link.Post(i, linkDelay)
-			} else {
-				succ.eng.ScheduleP(linkDelay, succ.recv, i)
-			}
-		}
-		hs.tick = func() {
-			// A few hundred ALU ops standing in for per-event protocol
-			// work; heavy enough that windows dominate barrier sync on a
-			// multi-core box.
-			for j := 0; j < 256; j++ {
-				hs.acc = hs.acc*2862933555777941757 + 3037000493
-			}
-			hs.eng.Schedule(tickPeriod, hs.tick)
-		}
-		hs.eng.Schedule(tickPeriod, hs.tick)
-	}
-	for key, l := range links {
-		dst := key[1]
-		l := l
-		eng := se.Shard(dst)
-		l.SetInjector(func(arg any, at time.Duration) {
-			from := arg.(int)
-			eng.SchedulePAt(at, hostsv[(from+1)%h].recv, arg)
-		})
-	}
-	// Seed one token per shard-0 host so the ring carries steady traffic.
-	for i := range hostsv {
-		if i%k == 0 {
-			hs := hostsv[i]
-			hs.eng.Schedule(linkDelay, hs.send)
-		}
-	}
-	se.Run(dur)
-	return se.Processed()
-}
-
-// BenchmarkShardedEngine measures the sharded coordinator against the same
-// workload serialized onto one shard: 2-host and 8-host ring topologies at
-// 1, 2, and 4 shards (combinations with more shards than hosts are skipped —
-// empty shards only add barrier latency). The hosts=8/shards=4 row is the
-// headline: wall clock per op should be well under half the shards=1 row on
-// a multi-core box. ev/s reports aggregate simulator throughput.
-func BenchmarkShardedEngine(b *testing.B) {
-	const dur = 20 * time.Millisecond
-	for _, hosts := range []int{2, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			if shards > hosts {
-				continue
-			}
-			b.Run(fmt.Sprintf("hosts=%d/shards=%d", hosts, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				var events uint64
-				for i := 0; i < b.N; i++ {
-					events = shardedRing(hosts, shards, dur)
-				}
-				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "ev/s")
-			})
-		}
 	}
 }

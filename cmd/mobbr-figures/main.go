@@ -48,6 +48,10 @@ func main() {
 	trSeed := flag.Int64("trace-seed", 1, "trace figure: synthesis seed")
 	jobs := flag.Int("j", 0, "figure points run in parallel (0 = one per CPU); output is identical at any -j")
 	flag.Parse()
+	if err := repro.CheckJobs(*jobs); err != nil {
+		fmt.Fprintln(os.Stderr, "mobbr-figures:", err)
+		os.Exit(1)
+	}
 
 	// Figure 2a: Low-End, BBR vs Cubic across connection counts.
 	fmt.Println("═══ Figure 2a — Pixel 4 Low-End, Ethernet ═══")

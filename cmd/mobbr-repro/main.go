@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"mobbr/internal/obs"
@@ -37,7 +36,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "collect metrics and print the last point's snapshot + engine self-metrics")
 	profile := flag.Bool("profile", false, "profile CPU cycles and add the pace% column; prints the last point's table")
 	jobs := flag.Int("j", 0, "experiment points run in parallel (0 = one per CPU); results are identical at any -j")
-	shards := flag.Int("shards", 1, "engine shards per run: split sender and receiver hosts across cores (conservative lookahead sync); results are identical at any -shards")
 	journal := flag.String("journal", "", "checkpoint each finished point to this JSONL file (implies fault-tolerant per-point execution)")
 	resume := flag.Bool("resume", false, "with -journal: skip points already checkpointed; resumed output is byte-identical")
 	retries := flag.Int("retries", 0, "retry attempts for infra-class failures (wall deadline); deterministic failures never retry")
@@ -52,11 +50,9 @@ func main() {
 	if *exp == "all" {
 		*exp = "" // alias: -exp all ≡ run everything
 	}
-	if warn, err := checkParallelism(*shards, *jobs); err != nil {
+	if err := repro.CheckJobs(*jobs); err != nil {
 		fmt.Fprintln(os.Stderr, "mobbr-repro:", err)
 		os.Exit(1)
-	} else if warn != "" {
-		fmt.Fprintln(os.Stderr, "mobbr-repro: warning:", warn)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -216,11 +212,11 @@ func main() {
 			rows, err = repro.RunExperimentResilient(e, repro.RunOpts{
 				Dur: *dur, Seeds: *seeds, Telemetry: tel, Workers: *jobs,
 				Journal: *journal, Resume: *resume, Retries: *retries,
-				Progress: observer, Shards: *shards,
+				Progress: observer,
 			})
 			failed += repro.FailedRows(rows)
 		} else {
-			rows, err = repro.RunExperimentPoolShards(e, *dur, *seeds, tel, *jobs, *shards, observer)
+			rows, err = repro.RunExperimentPoolObserved(e, *dur, *seeds, tel, *jobs, observer)
 		}
 		if prog != nil {
 			prog.Stop()
@@ -312,27 +308,4 @@ func writeTelemetry(row repro.Row, traceTo string, metrics, profile bool) {
 			}
 		}
 	}
-}
-
-// checkParallelism validates the -shards/-j pair. Both knobs multiply:
-// every in-flight grid point drives its own shard set, so asking for more
-// shard goroutines than the scheduler has processors oversubscribes and the
-// lock-step windows serialize anyway — legal, but worth a warning.
-func checkParallelism(shards, jobs int) (warn string, err error) {
-	if shards < 1 {
-		return "", fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if jobs < 0 {
-		return "", fmt.Errorf("-j must be at least 0 (0 = one per CPU), got %d", jobs)
-	}
-	procs := runtime.GOMAXPROCS(0)
-	effJobs := jobs
-	if effJobs == 0 {
-		effJobs = procs
-	}
-	if shards > 1 && shards*effJobs > procs {
-		return fmt.Sprintf("-shards %d × %d workers wants %d goroutines but GOMAXPROCS is %d; shard windows will contend",
-			shards, effJobs, shards*effJobs, procs), nil
-	}
-	return "", nil
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -75,7 +74,6 @@ func main() {
 		traceTo  = flag.String("trace", "", "write the last run's telemetry events as JSONL to FILE (- = stdout)")
 		metrics  = flag.Bool("metrics", false, "collect and print the metrics registry and engine self-metrics")
 		jobs     = flag.Int("j", 0, "with -exp: experiment points run in parallel (0 = one per CPU); results are identical at any -j")
-		shards   = flag.Int("shards", 1, "engine shards per run: split sender and receiver hosts across cores (conservative lookahead sync); results are identical at any -shards")
 		profile  = flag.Bool("profile", false, "print the cycle-attribution profile (core × phase × op)")
 		folded   = flag.String("folded", "", "write the cycle profile as folded stacks (flamegraph input) to FILE")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
@@ -87,11 +85,8 @@ func main() {
 		chaosCp  = flag.String("chaos-corpus", "", "with -chaos: write minimized reproducers to this directory")
 	)
 	flag.Parse()
-
-	if warn, err := checkParallelism(*shards, *jobs); err != nil {
+	if err := repro.CheckJobs(*jobs); err != nil {
 		fatalf("%v", err)
-	} else if warn != "" {
-		fmt.Fprintln(os.Stderr, "mobbr: warning:", warn)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -127,13 +122,12 @@ func main() {
 			runTraceExperiment(*trFile, *trPre, *dur, *trTick, *trSeed, *seeds, *jobs)
 			return
 		}
-		runExperiment(*expName, *dur, *seeds, *jobs, *shards, tel, *traceTo, *metrics, *profile, *folded, *showProg)
+		runExperiment(*expName, *dur, *seeds, *jobs, tel, *traceTo, *metrics, *profile, *folded, *showProg)
 		return
 	}
 
 	spec := core.Spec{
 		Telemetry:      tel,
-		Shards:         *shards,
 		CC:             *ccName,
 		Conns:          *conns,
 		Duration:       *dur,
@@ -401,31 +395,8 @@ func runTraceExperiment(file, preset string, dur, tick time.Duration, traceSeed 
 	repro.PrintTrace(os.Stdout, e, rows)
 }
 
-// checkParallelism validates the -shards/-j pair. Both knobs multiply:
-// every in-flight grid point drives its own shard set, so asking for more
-// shard goroutines than the scheduler has processors oversubscribes and the
-// lock-step windows serialize anyway — legal, but worth a warning.
-func checkParallelism(shards, jobs int) (warn string, err error) {
-	if shards < 1 {
-		return "", fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if jobs < 0 {
-		return "", fmt.Errorf("-j must be at least 0 (0 = one per CPU), got %d", jobs)
-	}
-	procs := runtime.GOMAXPROCS(0)
-	effJobs := jobs
-	if effJobs == 0 {
-		effJobs = procs
-	}
-	if shards > 1 && shards*effJobs > procs {
-		return fmt.Sprintf("-shards %d × %d workers wants %d goroutines but GOMAXPROCS is %d; shard windows will contend",
-			shards, effJobs, shards*effJobs, procs), nil
-	}
-	return "", nil
-}
-
 // runExperiment runs one repro experiment by id, like mobbr-repro -exp.
-func runExperiment(id string, dur time.Duration, seeds, jobs, shards int, tel telemetry.Config, traceTo string, metrics, profile bool, folded string, showProg bool) {
+func runExperiment(id string, dur time.Duration, seeds, jobs int, tel telemetry.Config, traceTo string, metrics, profile bool, folded string, showProg bool) {
 	if rec := repro.Recovery(); strings.EqualFold(id, rec.ID) {
 		rows, err := repro.RunRecoveryPool(rec, seeds, jobs)
 		if err != nil {
@@ -444,7 +415,7 @@ func runExperiment(id string, dur time.Duration, seeds, jobs, shards int, tel te
 		prog = obs.NewProgress(os.Stderr, 0)
 		observer = prog
 	}
-	rows, err := repro.RunExperimentPoolShards(e, dur, seeds, tel, jobs, shards, observer)
+	rows, err := repro.RunExperimentPoolObserved(e, dur, seeds, tel, jobs, observer)
 	if prog != nil {
 		prog.Stop()
 	}

@@ -1,46 +1,40 @@
 package main
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"mobbr/internal/clitest"
 )
 
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestCheckParallelism runs the CLI itself: -j goes through the shared
+// repro.CheckJobs before any simulation starts, and -shards, removed with
+// the sharded engine, fails loudly instead of being ignored.
 func TestCheckParallelism(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		name     string
-		shards   int
-		jobs     int
-		wantErr  string
-		wantWarn bool
+		name    string
+		args    []string
+		wantErr string
 	}{
-		{name: "serial default", shards: 1, jobs: 0},
-		{name: "serial explicit jobs", shards: 1, jobs: 4},
-		{name: "zero shards", shards: 0, jobs: 1, wantErr: "-shards must be at least 1"},
-		{name: "negative shards", shards: -2, jobs: 1, wantErr: "-shards must be at least 1"},
-		{name: "negative jobs", shards: 2, jobs: -1, wantErr: "-j must be at least 0"},
-		// 2 shards on a single worker fits any multi-core box.
-		{name: "sharded one worker", shards: 2, jobs: 1, wantWarn: procs < 2},
-		// shards × effective workers beyond GOMAXPROCS must warn: jobs=0
-		// means one worker per CPU, so any shards > 1 oversubscribes.
-		{name: "sharded default jobs oversubscribes", shards: 2, jobs: 0, wantWarn: true},
-		{name: "sharded explicit oversubscription", shards: 4, jobs: procs, wantWarn: true},
+		{name: "serial default", args: []string{"-dur", "20ms"}},
+		{name: "serial explicit jobs", args: []string{"-dur", "20ms", "-j", "4"}},
+		{name: "negative jobs", args: []string{"-dur", "20ms", "-j", "-1"}, wantErr: "-j must be at least 0"},
+		{name: "zero shards", args: []string{"-dur", "20ms", "-shards", "0"}, wantErr: "not defined: -shards"},
+		{name: "negative shards", args: []string{"-dur", "20ms", "-shards", "-2"}, wantErr: "not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			warn, err := checkParallelism(tc.shards, tc.jobs)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
+			stderr, code := clitest.Run(t, tc.args...)
+			if tc.wantErr == "" {
+				if code != 0 {
+					t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if (warn != "") != tc.wantWarn {
-				t.Errorf("warn = %q, wantWarn = %v (GOMAXPROCS %d)", warn, tc.wantWarn, procs)
+			if code == 0 || !strings.Contains(stderr, tc.wantErr) {
+				t.Fatalf("want failure mentioning %q, got exit %d, stderr:\n%s", tc.wantErr, code, stderr)
 			}
 		})
 	}

@@ -118,12 +118,9 @@ type Checker struct {
 
 	// Pool audit state: the run's packet/ACK pool and the path whose
 	// in-transit census its outstanding counts are checked against.
-	pool         PoolAuditor
+	pool         *seg.Pool
 	poolPath     *netem.Path
 	poolReported int // pool violations already surfaced
-	// crossPkts/crossAcks extend the census to cross-shard custody (packets
-	// and ACKs inside shard mailboxes); nil in serial runs.
-	crossPkts, crossAcks func() int
 
 	violations []*Violation
 }
@@ -171,34 +168,15 @@ func (k *Checker) SetHeldAcks(fn func() int) { k.heldFn = fn }
 // without pruning the watermark map grows with every flow ever started.
 func (k *Checker) Forget(id int) { delete(k.prevs, id) }
 
-// PoolAuditor is the census surface WatchPool audits: a run's single
-// *seg.Pool, or a sharded run's *seg.PoolSet whose summed arenas obey the
-// same conservation invariant.
-type PoolAuditor interface {
-	Stats() seg.PoolStats
-	Violations() []seg.Violation
-}
-
 // WatchPool adds the run's packet/ACK pool to the audit set. Each audit
 // pass surfaces the pool's own lifecycle violations (double releases,
 // foreign releases) and cross-checks its outstanding-object counts against
 // the network's census: every live packet must be inside the path, and
 // every live ACK either in return flight or parked behind a watched
 // connection's CPU model.
-func (k *Checker) WatchPool(pool PoolAuditor, path *netem.Path) {
+func (k *Checker) WatchPool(pool *seg.Pool, path *netem.Path) {
 	k.pool = pool
 	k.poolPath = path
-}
-
-// SetCrossCensus extends the conservation audit to cross-shard custody:
-// pkts and acks return the objects currently inside shard mailboxes
-// (posted or held for delivery on the far shard). With these installed the
-// packet invariant becomes outstanding == path in-transit + cross custody,
-// which is what makes a packet leaked in a mailbox visible within one
-// audit cycle.
-func (k *Checker) SetCrossCensus(pkts, acks func() int) {
-	k.crossPkts = pkts
-	k.crossAcks = acks
 }
 
 // SetBus mirrors every violation onto the telemetry bus (KindViolation), so
@@ -307,22 +285,14 @@ func (k *Checker) auditPool(heldAcks int) {
 		k.report("pool/lifecycle", -1, "%s", vs[k.poolReported])
 	}
 	st := k.pool.Stats()
-	inPath := k.poolPath.InTransit()
-	if k.crossPkts != nil {
-		inPath += k.crossPkts()
-	}
-	if st.OutstandingPackets != inPath {
+	if inPath := k.poolPath.InTransit(); st.OutstandingPackets != inPath {
 		k.report("pool/conservation", -1,
 			"outstanding packets %d != network in-transit %d", st.OutstandingPackets, inPath)
 	}
 	if heldAcks < 0 {
 		return
 	}
-	inFlight := k.poolPath.AckInFlight()
-	if k.crossAcks != nil {
-		inFlight += k.crossAcks()
-	}
-	if st.OutstandingAcks != inFlight+heldAcks {
+	if inFlight := k.poolPath.AckInFlight(); st.OutstandingAcks != inFlight+heldAcks {
 		k.report("pool/conservation", -1,
 			"outstanding ACKs %d != return-flight %d + cpu-held %d",
 			st.OutstandingAcks, inFlight, heldAcks)

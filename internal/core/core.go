@@ -164,26 +164,6 @@ type Spec struct {
 	// metrics registry, cycle profiler). The zero value disables all of
 	// them — the hot paths then pay only nil-checks.
 	Telemetry telemetry.Config
-	// Shards splits the run across engine shards executing concurrently
-	// under a conservative lookahead protocol (internal/sim.ShardedEngine):
-	// the phone — senders, path, CPU model, telemetry — on shard 0, the
-	// server's receivers on shard 1, synchronized on the last hop's
-	// propagation delay. Output is byte-identical to a serial run. 0 or 1
-	// runs serial; values above 2 clamp to 2 (the bulk topology has two
-	// hosts). Workloads bound to one engine — churn (Flows), application
-	// workloads, mobility traces, fault schedules (which may shrink the
-	// lookahead mid-run), and DisablePool test runs — fall back to serial.
-	// Deliberately absent from the spec wire form: it selects an execution
-	// strategy, not an experiment, so archived rows compare equal across
-	// shard counts.
-	Shards int
-}
-
-// sharded reports whether Run will actually split this spec across shards
-// (Shards asks for it and no serial-only feature is in play).
-func (s Spec) sharded() bool {
-	return s.Shards > 1 && s.Flows == nil && s.Workload.Kind == "" &&
-		s.Mobility == nil && s.Faults.Empty() && !s.DisablePool
 }
 
 // Inject kinds. Each is a deliberate harness fault fired at Inject.At of
@@ -202,10 +182,6 @@ const (
 	// InjectLeakPacket acquires one pool packet and drops it — the
 	// end-of-run leak audit (Spec.Check) must report it.
 	InjectLeakPacket = "leak-packet"
-	// InjectLeakMailbox drops one packet inside the cross-shard mailbox at
-	// the next window barrier — the sharded conservation audit (Spec.Check
-	// with Spec.Shards > 1) must catch it within one audit cycle.
-	InjectLeakMailbox = "leak-mailbox"
 )
 
 // Inject describes one deliberate harness-level fault.
@@ -220,7 +196,7 @@ type Inject struct {
 // Validate rejects unknown kinds and negative times.
 func (in Inject) Validate() error {
 	switch in.Kind {
-	case "", InjectPanic, InjectStall, InjectCorruptInflight, InjectLeakPacket, InjectLeakMailbox:
+	case "", InjectPanic, InjectStall, InjectCorruptInflight, InjectLeakPacket:
 	default:
 		return fmt.Errorf("unknown inject kind %q", in.Kind)
 	}
@@ -319,12 +295,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Inject.Kind == InjectLeakPacket && s.DisablePool {
 		return fmt.Errorf("core: inject %q needs the packet pool (DisablePool is set)", s.Inject.Kind)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", s.Shards)
-	}
-	if s.Inject.Kind == InjectLeakMailbox && !s.sharded() {
-		return fmt.Errorf("core: inject %q needs a sharded run (Shards > 1 with no serial-only features)", s.Inject.Kind)
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -441,28 +411,12 @@ func Run(spec Spec) (*Result, error) {
 		factories[i] = factory
 	}
 
-	// Sharded runs build a two-shard engine — shard 0 seeded identically to
-	// the serial engine, so every RNG draw replays in the serial order —
-	// and assemble the phone on shard 0 with the server's receivers on
-	// shard 1. Everything below that takes `eng` lands on shard 0.
-	var se *sim.ShardedEngine
-	var eng *sim.Engine
-	if spec.sharded() {
-		se = sim.NewSharded(spec.Seed, 2)
-		eng = se.Shard(0)
-	} else {
-		eng = sim.New(spec.Seed)
-	}
+	eng := sim.New(spec.Seed)
 	wall := spec.MaxWallClock
 	if wall < 0 {
 		wall = 0
 	}
-	limits := sim.Limits{MaxEvents: spec.MaxEvents, WallClock: wall, MaxStall: spec.MaxStall}
-	if se != nil {
-		se.SetLimits(limits)
-	} else {
-		eng.SetLimits(limits)
-	}
+	eng.SetLimits(sim.Limits{MaxEvents: spec.MaxEvents, WallClock: wall, MaxStall: spec.MaxStall})
 	cpu, appCPU := device.NewCPUs(eng, spec.Device, spec.CPU)
 
 	// Observability: each layer is built only when asked for, and a nil
@@ -517,15 +471,6 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, fail(fmt.Errorf("core: %w", err))
 	}
-	var wiring *netem.CrossWiring
-	if se != nil {
-		// Re-home the path's last propagation leg and ACK return onto shard
-		// 1; the hop delays double as the conservative lookahead.
-		wiring, err = netem.NewCrossWiring(se, path, 1)
-		if err != nil {
-			return nil, fail(fmt.Errorf("core: %w", err))
-		}
-	}
 	sched := spec.Faults
 	if spec.Mobility != nil {
 		sched = spec.Mobility.Schedule
@@ -556,19 +501,10 @@ func Run(spec Spec) (*Result, error) {
 	cfg.Pacing.HardwareOffload = spec.HardwarePacing
 
 	// The packet/ACK recycler is private to this run: repro grids run many
-	// Run calls in parallel and a shared pool would race. Sharded runs give
-	// each shard its own arena (packets home on the sender, ACKs too — the
-	// receiver only recycles) and splice freelists back at every barrier.
+	// Run calls in parallel and a shared pool would race.
 	var pool *seg.Pool
-	var ps *seg.PoolSet
 	if !spec.DisablePool {
-		if se != nil {
-			ps = seg.NewPoolSet(2, 0, 1)
-			pool = ps.Arena(0)
-			se.OnBarrier(ps.Rebalance)
-		} else {
-			pool = seg.NewPool()
-		}
+		pool = seg.NewPool()
 	}
 
 	icfg := iperf.Config{
@@ -586,9 +522,6 @@ func Run(spec Spec) (*Result, error) {
 		icfg.CC = factories[0]
 	} else {
 		icfg.CCMix = factories
-	}
-	if se != nil {
-		icfg.Shard = &iperf.Shard{Engines: se, Wiring: wiring, RxShard: 1, Pools: ps}
 	}
 	var (
 		sess  *iperf.Session
@@ -627,20 +560,10 @@ func Run(spec Spec) (*Result, error) {
 				chk.Watch(c)
 			}
 		}
-		if ps != nil {
-			// Audit the summed census across arenas and fold the cross-shard
-			// mailbox custody into the in-transit count; the audit itself
-			// fires at every-shard barrier cuts so both shards are quiescent.
-			chk.WatchPool(ps, path)
-			chk.SetCrossCensus(wiring.CrossPackets, wiring.CrossAcks)
-		} else if pool != nil {
+		if pool != nil {
 			chk.WatchPool(pool, path)
 		}
-		if se != nil {
-			se.GlobalEvery(check.DefaultInterval, chk.CheckNow)
-		} else {
-			chk.Start()
-		}
+		chk.Start()
 	}
 	if bus != nil && sess != nil {
 		// Periodic per-connection samples (cwnd, inflight, pacing rate,
@@ -663,8 +586,6 @@ func Run(spec Spec) (*Result, error) {
 		eng.Schedule(spec.Inject.At, func() { sess.Conns()[0].CorruptInflightForTest(3) })
 	case InjectLeakPacket:
 		eng.Schedule(spec.Inject.At, func() { pool.LeakPacketForTest() })
-	case InjectLeakMailbox:
-		eng.Schedule(spec.Inject.At, func() { wiring.ArmLeakForTest() })
 	}
 	var coll *telemetry.EngineCollector
 	if tel.Metrics {
@@ -683,13 +604,7 @@ func Run(spec Spec) (*Result, error) {
 	default:
 		report = sess.Run()
 	}
-	var lerr error
-	if se != nil {
-		lerr = se.LimitErr()
-	} else {
-		lerr = eng.LimitErr()
-	}
-	if lerr != nil {
+	if lerr := eng.LimitErr(); lerr != nil {
 		return nil, fail(fmt.Errorf("core: %s seed=%d: %w", spec, spec.Seed, lerr))
 	}
 	if chk != nil {
@@ -707,21 +622,10 @@ func Run(spec Spec) (*Result, error) {
 		Events:    bus,
 		Profile:   prof,
 		Engine:    coll.Stop(),
-		Processed: processed(eng, se),
+		Processed: eng.Processed(),
 		App:       appStats,
 		Flows:     flowStats,
 	}, nil
-}
-
-// processed returns the run's executed event count: the shard sum plus
-// barrier-global firings when sharded (which matches the serial engine's
-// count exactly — each global firing replaces one serial timer event),
-// otherwise the single engine's count.
-func processed(eng *sim.Engine, se *sim.ShardedEngine) uint64 {
-	if se != nil {
-		return se.Processed()
-	}
-	return eng.Processed()
 }
 
 // Aggregate is the multi-seed summary of a Spec.

@@ -66,25 +66,8 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Pool, when set, is the run-private packet/ACK recycler threaded
 	// through the senders, the path and the demux; Run reclaims everything
-	// still held at run end and Collect reports the pool census. In a
-	// sharded run this is the sender arena (Shard.Pools.Arena(0)).
+	// still held at run end and Collect reports the pool census.
 	Pool *seg.Pool
-	// Shard, when set, splits the run across engine shards: senders, the
-	// path and all sampling stay on shard 0 (the engine passed to New),
-	// receivers live on Shard.RxShard, and warmup/interval bookkeeping runs
-	// at consistent barrier cuts. nil runs serial, unchanged.
-	Shard *Shard
-}
-
-// Shard carries the dependencies of a split run. core.Run assembles it: a
-// sharded engine, the cross wiring replacing the path's last propagation
-// leg, the receiver's shard index and the pool arenas (arena 0 doubles as
-// Config.Pool; arena RxShard serves the receivers).
-type Shard struct {
-	Engines *sim.ShardedEngine
-	Wiring  *netem.CrossWiring
-	RxShard int
-	Pools   *seg.PoolSet
 }
 
 // Session is one assembled iPerf run.
@@ -148,11 +131,6 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 	if cfg.CC == nil && len(cfg.CCMix) == 0 {
 		return nil, fmt.Errorf("iperf: Config.CC or Config.CCMix is required")
 	}
-	if cfg.Shard != nil && cfg.Stream {
-		// Stream mode hands the send side to application goroutines via the
-		// simnet baton; that handoff is built around one engine.
-		return nil, fmt.Errorf("iperf: sharded runs do not support stream mode")
-	}
 	s := &Session{eng: eng, cpu: cpu, path: path, cfg: cfg, agg: &tcp.AggStats{}}
 	// Cache/TLB pressure grows gently with the number of hot sockets.
 	pressure := 1 + 0.05*math.Log(float64(cfg.Conns))
@@ -161,12 +139,7 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 		cfg.AppCPU.SetPressure(pressure)
 	}
 	demux := tcp.NewDemux()
-	rxEng, rxPool := eng, cfg.Pool
-	if sh := cfg.Shard; sh != nil {
-		rxEng = sh.Engines.Shard(sh.RxShard)
-		rxPool = sh.Pools.Arena(sh.RxShard)
-	}
-	demux.SetPool(rxPool)
+	demux.SetPool(cfg.Pool)
 	path.SetPool(cfg.Pool)
 	for i := 0; i < cfg.Conns; i++ {
 		tcfg := cfg.TCP
@@ -189,21 +162,12 @@ func New(eng *sim.Engine, cpu *cpumodel.CPU, path *netem.Path, cfg Config) (*Ses
 		if cfg.Bus != nil || cfg.Metrics != nil {
 			conn.SetTelemetry(cfg.Bus, telemetry.NewConnMetrics(cfg.Metrics, i))
 		}
-		rx := tcp.NewReceiver(rxEng, path, conn)
-		if sh := cfg.Shard; sh != nil {
-			rx.SetShard(rxPool, sh.Wiring.ReturnAck)
-		}
+		rx := tcp.NewReceiver(eng, path, conn)
 		demux.Add(rx)
 		s.conns = append(s.conns, conn)
 		s.rxs = append(s.rxs, rx)
 	}
-	if sh := cfg.Shard; sh != nil {
-		// The last hop posts across the shard boundary; packets surface on
-		// the receiver shard through the wiring, never through path.recv.
-		sh.Wiring.SetReceiver(demux.Handle)
-	} else {
-		path.SetReceiver(demux.Handle)
-	}
+	path.SetReceiver(demux.Handle)
 	return s, nil
 }
 
@@ -220,30 +184,14 @@ func (s *Session) Start() {
 		c.Start()
 	}
 	s.eng.Schedule(s.cfg.SampleEvery, s.sample)
-	warmup := func() {
-		// The O(1) counter is integer-identical to totalGoodBytes().
-		s.warmupBytes = s.agg.GoodBytes()
-	}
-	if sh := s.cfg.Shard; sh != nil {
-		// Warmup and interval reports read receiver-shard state (the
-		// aggregate goodput counter), so they run at consistent barrier
-		// cuts; each fires as one global, keeping the processed-event count
-		// identical to the serial engine's.
-		if s.cfg.Interval > 0 {
-			sh.Engines.GlobalEvery(s.cfg.Interval, func() {
-				s.recordIntervalAt(s.eng.Now())
-			})
-		}
-		if s.cfg.Warmup > 0 {
-			sh.Engines.GlobalAt(s.cfg.Warmup, warmup)
-		}
-		return
-	}
 	if s.cfg.Interval > 0 {
 		s.eng.Schedule(s.cfg.Interval, s.recordInterval)
 	}
 	if s.cfg.Warmup > 0 {
-		s.eng.Schedule(s.cfg.Warmup, warmup)
+		s.eng.Schedule(s.cfg.Warmup, func() {
+			// The O(1) counter is integer-identical to totalGoodBytes().
+			s.warmupBytes = s.agg.GoodBytes()
+		})
 	}
 }
 
@@ -261,13 +209,7 @@ func (s *Session) sample() {
 
 // recordInterval closes one reporting interval and schedules the next.
 func (s *Session) recordInterval() {
-	s.recordIntervalAt(s.eng.Now())
-	s.eng.Schedule(s.cfg.Interval, s.recordInterval)
-}
-
-// recordIntervalAt closes the interval ending at now; the sharded engine
-// calls it from a periodic global instead of a self-rescheduling event.
-func (s *Session) recordIntervalAt(now time.Duration) {
+	now := s.eng.Now()
 	// Goodput and retransmits come from the O(1) aggregate counters
 	// (maintained at delivery/ACK time, integer-identical to the walks
 	// they replaced). The RTT column is a snapshot of each connection's
@@ -293,6 +235,7 @@ func (s *Session) recordIntervalAt(now time.Duration) {
 	s.intervals = append(s.intervals, iv)
 	s.lastIvalBytes = bytes
 	s.lastIvalRetx = retx
+	s.eng.Schedule(s.cfg.Interval, s.recordInterval)
 }
 
 // totalGoodBytes is the slow O(conns) walk the aggregate counter replaced
@@ -313,11 +256,7 @@ func (s *Session) Aggregates() *tcp.AggStats { return s.agg }
 // Run executes the whole experiment on the engine and returns the report.
 func (s *Session) Run() *Report {
 	s.Start()
-	if sh := s.cfg.Shard; sh != nil {
-		sh.Engines.Run(s.cfg.Duration)
-	} else {
-		s.eng.Run(s.cfg.Duration)
-	}
+	s.eng.Run(s.cfg.Duration)
 	return s.Finish()
 }
 
@@ -334,9 +273,6 @@ func (s *Session) Finish() *Report {
 	// still pending; the packets and ACKs those events own are handed back
 	// through the hold lists so the pool balances to zero.
 	s.path.Reclaim()
-	if sh := s.cfg.Shard; sh != nil {
-		sh.Wiring.Reclaim(s.cfg.Pool, sh.Pools.Arena(sh.RxShard))
-	}
 	for _, c := range s.conns {
 		c.ReclaimAcks()
 	}
@@ -442,12 +378,7 @@ func (s *Session) Collect() *Report {
 	if s.cfg.Metrics != nil {
 		r.Metrics = s.cfg.Metrics.Snapshot()
 	}
-	if sh := s.cfg.Shard; sh != nil {
-		// The summed arena census: the same conservation totals as a serial
-		// pool, though the Gets/News split differs (arenas allocate
-		// independently before rebalancing kicks in).
-		r.Pool = sh.Pools.Stats()
-	} else if s.cfg.Pool != nil {
+	if s.cfg.Pool != nil {
 		r.Pool = s.cfg.Pool.Stats()
 	}
 	var goodBytes units.DataSize

@@ -135,12 +135,6 @@ type Pipe struct {
 	txDoneFn  func(any)
 	deliverFn func(any)
 
-	// remote, when set, replaces local propagation: packets leaving
-	// serialization are handed to it with their assigned propagation delay
-	// (base + jitter) instead of being held and scheduled here. The sharded
-	// path uses it to carry the last hop across a shard boundary.
-	remote func(pkt *seg.Packet, delay time.Duration)
-
 	// Stats.
 	enqueued   uint64
 	dropsQueue uint64
@@ -172,12 +166,6 @@ func NewPipe(eng *sim.Engine, cfg PipeConfig, next PacketHandler) (*Pipe, error)
 // SetPool attaches the run's packet pool: packets the pipe drops (loss
 // injection, full queue) are released back to it at the drop point.
 func (p *Pipe) SetPool(pool *seg.Pool) { p.pool = pool }
-
-// SetRemote diverts post-serialization delivery to fn: custody of each
-// packet transfers to fn together with its propagation delay, and the
-// pipe's own hold/deliver machinery is bypassed. Used to carry a hop's
-// propagation leg across a shard boundary.
-func (p *Pipe) SetRemote(fn func(pkt *seg.Packet, delay time.Duration)) { p.remote = fn }
 
 // SetRate changes the link rate for packets serialized from now on. The
 // WiFi model uses this to emulate rate adaptation. Non-positive rates are a
@@ -327,9 +315,7 @@ func (p *Pipe) txDone(pkt *seg.Packet) {
 	if p.cfg.ReorderJitter > 0 {
 		delay += time.Duration(p.eng.Rand().Int63n(int64(p.cfg.ReorderJitter)))
 	}
-	if p.remote != nil {
-		p.remote(pkt, delay)
-	} else if delay > 0 {
+	if delay > 0 {
 		p.hold.Push(pkt)
 		p.eng.ScheduleP(delay, p.deliverFn, pkt)
 	} else {

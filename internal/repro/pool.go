@@ -22,6 +22,16 @@ func Workers(j int) int {
 	return j
 }
 
+// CheckJobs validates a -j flag value before it reaches Workers: 0 means
+// one worker per CPU, and a negative count is rejected rather than silently
+// treated as 0.
+func CheckJobs(j int) error {
+	if j < 0 {
+		return fmt.Errorf("-j must be at least 0 (0 = one per CPU), got %d", j)
+	}
+	return nil
+}
+
 // ForEach runs fn(0..n-1) across up to workers goroutines. Every index runs
 // regardless of other indices' failures; the returned error is the
 // smallest-index one, so the outcome does not depend on completion order. A

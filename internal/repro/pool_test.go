@@ -12,6 +12,34 @@ import (
 	"mobbr/internal/telemetry"
 )
 
+// TestCheckJobs pins the -j validation shared by mobbr, mobbr-repro and
+// mobbr-figures.
+func TestCheckJobs(t *testing.T) {
+	cases := []struct {
+		name    string
+		jobs    int
+		wantErr bool
+	}{
+		{name: "default", jobs: 0},
+		{name: "explicit jobs", jobs: 4},
+		{name: "negative jobs", jobs: -3, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckJobs(tc.jobs)
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "-j must be at least 0") {
+					t.Fatalf("want -j error, got %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
+	}
+}
+
 func TestForEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var hits [50]atomic.Int32

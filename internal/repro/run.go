@@ -122,22 +122,13 @@ type Observer interface {
 // RunExperimentPoolObserved is RunExperimentPool reporting per-point
 // lifecycle to obs (nil means no observation).
 func RunExperimentPoolObserved(e Experiment, dur time.Duration, seeds int, tel telemetry.Config, workers int, obs Observer) ([]Row, error) {
-	return RunExperimentPoolShards(e, dur, seeds, tel, workers, 0, obs)
-}
-
-// RunExperimentPoolShards is RunExperimentPoolObserved with every eligible
-// run split across engine shards (core.Spec.Shards). Point-level parallelism
-// (workers) and intra-run parallelism (shards) compose: each worker's run
-// drives its own shard set. Rows are identical to a serial grid's — sharding
-// is an execution strategy, not part of any spec's identity.
-func RunExperimentPoolShards(e Experiment, dur time.Duration, seeds int, tel telemetry.Config, workers, shards int, obs Observer) ([]Row, error) {
 	if obs != nil {
 		obs.BeginExperiment(e.ID, len(e.Points))
 	}
 	rows := make([]Row, len(e.Points))
 	err := ForEachW(len(e.Points), workers, func(w, i int) (err error) {
 		p := e.Points[i]
-		spec := pointSpec(p, dur, tel, shards)
+		spec := pointSpec(p, dur, tel)
 		if obs != nil {
 			obs.PointStart(w, i, p.Label)
 			defer func() { obs.PointDone(w, i, rows[i].Events, err != nil) }()
@@ -163,14 +154,11 @@ func RunExperimentPoolShards(e Experiment, dur time.Duration, seeds int, tel tel
 
 // pointSpec is the one place a grid point's spec is finalized for a run, so
 // the plain and resilient runners (and a journal resume) agree exactly.
-// shards requests intra-run engine sharding; specs with serial-only features
-// ignore it (core.Spec.sharded), and it never reaches the spec wire form.
-func pointSpec(p Point, dur time.Duration, tel telemetry.Config, shards int) core.Spec {
+func pointSpec(p Point, dur time.Duration, tel telemetry.Config) core.Spec {
 	spec := p.Spec
 	spec.Duration = dur
 	spec.Warmup = dur / 5
 	spec.Telemetry = tel
-	spec.Shards = shards
 	return spec
 }
 

@@ -39,10 +39,6 @@ const maxViolations = 16
 type Pool struct {
 	freePkt *Packet
 	freeAck *Ack
-	// Freelist tails make PoolSet.Rebalance an O(1) splice instead of a
-	// walk; nil whenever the corresponding head is nil.
-	freePktTail *Packet
-	freeAckTail *Ack
 
 	stats      PoolStats
 	violations []Violation
@@ -111,9 +107,6 @@ func (l *Pool) GetPacket() *Packet {
 		p = &Packet{}
 	} else {
 		l.freePkt = p.next
-		if l.freePkt == nil {
-			l.freePktTail = nil
-		}
 		*p = Packet{}
 	}
 	p.life = lifeLive
@@ -142,9 +135,6 @@ func (l *Pool) PutPacket(p *Packet) {
 	p.life = lifeFree
 	p.prev = nil
 	p.next = l.freePkt
-	if l.freePkt == nil {
-		l.freePktTail = p
-	}
 	l.freePkt = p
 	l.stats.PacketPuts++
 	l.stats.OutstandingPackets--
@@ -168,9 +158,6 @@ func (l *Pool) GetAck() *Ack {
 		a = &Ack{}
 	} else {
 		l.freeAck = a.next
-		if l.freeAck == nil {
-			l.freeAckTail = nil
-		}
 		sacks := a.Sacks[:0]
 		*a = Ack{}
 		a.Sacks = sacks
@@ -200,9 +187,6 @@ func (l *Pool) PutAck(a *Ack) {
 	a.life = lifeFree
 	a.prev = nil
 	a.next = l.freeAck
-	if l.freeAck == nil {
-		l.freeAckTail = a
-	}
 	l.freeAck = a
 	l.stats.AckPuts++
 	l.stats.OutstandingAcks--

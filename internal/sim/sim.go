@@ -771,43 +771,6 @@ func (e *Engine) Run(end time.Duration) {
 	}
 }
 
-// RunUntil executes events strictly before the virtual time `before`,
-// leaving the clock at the last executed event. Unlike Run it never
-// advances the clock past the events it ran, so a caller can keep
-// injecting work at times >= before and resume — the sharded engine's
-// window loop is built on exactly this contract.
-func (e *Engine) RunUntil(before time.Duration) {
-	for e.nextReady() {
-		if e.items[e.heap[0]].at >= before {
-			return
-		}
-		if !e.Step() {
-			return
-		}
-	}
-}
-
-// NextEventTime returns the virtual time of the earliest pending event. The
-// second result is false when the queue is empty. The sharded engine's
-// conservative window protocol derives each synchronization horizon from it.
-func (e *Engine) NextEventTime() (time.Duration, bool) {
-	if !e.nextReady() {
-		return 0, false
-	}
-	return e.items[e.heap[0]].at, true
-}
-
-// AdvanceTo moves the clock forward to t without executing anything; times
-// at or before now are a no-op. The sharded engine uses it at barrier cuts
-// so globally scheduled callbacks observe the cut time, and at run end so
-// every shard finishes with a consistent elapsed time (matching Run's
-// drain-early behaviour).
-func (e *Engine) AdvanceTo(t time.Duration) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // RunAll executes events until the queue drains or maxEvents events have
 // run, whichever comes first. It reports whether the queue drained.
 func (e *Engine) RunAll(maxEvents uint64) bool {

@@ -13,7 +13,8 @@ import (
 )
 
 // poolHarness wires a ConnPool to a demux'd path the way the flows session
-// does, with the aggregate sink and flow table attached.
+// does, with the aggregate sink and flow table attached. The sender CPU
+// runs at hz cycles per second.
 type poolHarness struct {
 	eng   *sim.Engine
 	pool  *ConnPool
@@ -23,10 +24,10 @@ type poolHarness struct {
 	segs  *seg.Pool
 }
 
-func newPoolHarness(t *testing.T) *poolHarness {
+func newPoolHarness(t *testing.T, hz float64) *poolHarness {
 	t.Helper()
 	eng := sim.New(1)
-	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), 5e9)
+	cpu := cpumodel.NewCPU(eng, cpumodel.DefaultCosts(), hz)
 	path, err := netem.EthernetLAN(eng, netem.TC{})
 	if err != nil {
 		t.Fatalf("EthernetLAN: %v", err)
@@ -80,7 +81,7 @@ func (h *poolHarness) runFlow(t *testing.T, id int, size int64) {
 }
 
 func TestConnPoolReuse(t *testing.T) {
-	h := newPoolHarness(t)
+	h := newPoolHarness(t, 5e9)
 	const flows = 5
 	for i := 0; i < flows; i++ {
 		h.runFlow(t, i, int64(64*units.KB))
@@ -110,7 +111,7 @@ func TestConnPoolReuse(t *testing.T) {
 }
 
 func TestConnPoolReclaimDrainsDying(t *testing.T) {
-	h := newPoolHarness(t)
+	h := newPoolHarness(t, 5e9)
 	// Open several flows, push bytes, and cut them off mid-transfer — the
 	// run-horizon path. Put parks them dying; Reclaim must free them all.
 	var pcs []*PooledConn
@@ -141,7 +142,7 @@ func TestConnPoolReclaimDrainsDying(t *testing.T) {
 }
 
 func TestConnPoolDoublePutPanics(t *testing.T) {
-	h := newPoolHarness(t)
+	h := newPoolHarness(t, 5e9)
 	pc := h.pool.Get(0, streamFactory())
 	pc.Conn.SetStream()
 	pc.Conn.SetStreamCallbacks(func() {}, func() {}, func(error) {})
@@ -156,7 +157,7 @@ func TestConnPoolDoublePutPanics(t *testing.T) {
 }
 
 func TestConnPoolIdsNeverReused(t *testing.T) {
-	h := newPoolHarness(t)
+	h := newPoolHarness(t, 5e9)
 	pc := h.pool.Get(100, streamFactory())
 	if pc.Conn.ID() != 100 {
 		t.Fatalf("fresh conn id %d, want 100", pc.Conn.ID())

@@ -51,14 +51,6 @@ type Receiver struct {
 	dupPkts   uint64
 	acksSent  uint64
 
-	// Sharded overrides (SetShard): in a sharded run the receiver lives on
-	// a different engine shard than its conn, so packet release and ACK
-	// acquisition must use the receiver shard's pool arena, and ACK return
-	// must cross back through the shard mailbox instead of scheduling on
-	// the sender's engine. Both nil in serial runs.
-	rxPool    *seg.Pool
-	returnAck func(*seg.Ack)
-
 	// onDelivery, when set, fires after OnPacket whenever rcvNxt advanced —
 	// the receive-side readable notification the simnet facade consumes.
 	onDelivery func()
@@ -68,23 +60,6 @@ type Receiver struct {
 // the triggering packet has been released to the pool, so it may freely
 // schedule follow-on work.
 func (r *Receiver) SetDeliveryListener(fn func()) { r.onDelivery = fn }
-
-// SetShard moves the receiver's pool traffic to the given arena and its ACK
-// return to returnAck (the cross-shard mailbox). Call once at wiring time;
-// NewReceiver must already have been given the receiver shard's engine.
-func (r *Receiver) SetShard(pool *seg.Pool, returnAck func(*seg.Ack)) {
-	r.rxPool = pool
-	r.returnAck = returnAck
-}
-
-// recvPool returns the pool serving this receiver's acquire/release: the
-// receiver shard's arena when sharded, otherwise the conn's pool.
-func (r *Receiver) recvPool() *seg.Pool {
-	if r.rxPool != nil {
-		return r.rxPool
-	}
-	return r.conn.pool
-}
 
 // NewReceiver builds the receiving endpoint for conn and registers the
 // connection's ACK-arrival handler on the path's per-flow return fast path.
@@ -130,7 +105,7 @@ func (r *Receiver) OnPacket(pkt *seg.Packet) {
 		r.insertOOO(seg.SackBlock{Start: pkt.Seq, End: pkt.End()})
 		r.sendAck(pkt.SentAt, pkt.Retx, pkt.End())
 	}
-	r.recvPool().PutPacket(pkt)
+	r.conn.pool.PutPacket(pkt)
 	if r.rcvNxt > prevNxt {
 		if r.conn.agg != nil {
 			// The single point goodBytes advances: the aggregate counter
@@ -206,7 +181,7 @@ func (r *Receiver) flushExpired() {
 func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int64) {
 	r.pendingBytes = 0
 	r.flush.Stop()
-	a := r.recvPool().GetAck()
+	a := r.conn.pool.GetAck()
 	a.Flow = r.conn.id
 	a.CumAck = r.rcvNxt
 	a.EchoSentAt = echoSentAt
@@ -222,11 +197,7 @@ func (r *Receiver) sendAck(echoSentAt time.Duration, echoRetx bool, ackedEnd int
 		}
 	}
 	r.acksSent++
-	if r.returnAck != nil {
-		r.returnAck(a)
-	} else {
-		r.path.ReturnAckFlow(a)
-	}
+	r.path.ReturnAckFlow(a)
 }
 
 // Reset re-initializes the receiver for its connection's next incarnation
